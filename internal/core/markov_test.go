@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,6 +33,12 @@ func TestNewModelValidation(t *testing.T) {
 	}
 	if _, err := NewModel(make([]mac.Period, MaxModelTags+1), 3); err == nil {
 		t.Error("too many tags accepted")
+	}
+	if _, err := NewModel([]mac.Period{256}, 3); err == nil {
+		t.Error("period beyond the 8-bit phase space accepted")
+	}
+	if _, err := NewModel([]mac.Period{128, 128, 128, 128}, 255); err == nil {
+		t.Error("state space overflowing the 64-bit code accepted")
 	}
 }
 
@@ -172,20 +179,96 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-// TestTransitionProbabilitiesSumToOne is a structural sanity check on
-// the enumerated chain.
+// TestTransitionProbabilitiesSumToOne is a structural check on the
+// enumerated CSR rows: positive probabilities summing to one, and
+// successors strictly increasing in id (no duplicates), which fixes the
+// solver's summation order.
 func TestTransitionProbabilitiesSumToOne(t *testing.T) {
-	m := newModel(t, 2, 4)
-	for id := 0; id < m.NumStates(); id++ {
-		var sum float64
-		for _, p := range m.trans[id] {
-			if p < 0 {
-				t.Fatal("negative probability")
-			}
-			sum += p
+	for _, periods := range [][]int{{2, 4}, {2, 4, 4}, {4, 4, 4, 4}} {
+		m := newModel(t, periods...)
+		if len(m.rowPtr) != m.NumStates()+1 || m.rowPtr[0] != 0 || m.rowPtr[m.NumStates()] != len(m.edges) {
+			t.Fatalf("%v: malformed row pointers", periods)
 		}
-		if sum < 0.999999 || sum > 1.000001 {
-			t.Fatalf("state %d outgoing mass %v", id, sum)
+		for id := 0; id < m.NumStates(); id++ {
+			row := m.row(id)
+			if len(row) == 0 {
+				t.Fatalf("%v: state %d has no successors", periods, id)
+			}
+			var sum float64
+			for k, e := range row {
+				if e.p <= 0 || e.p > 1 {
+					t.Fatalf("%v: state %d edge %d probability %v", periods, id, k, e.p)
+				}
+				if e.to < 0 || int(e.to) >= m.NumStates() {
+					t.Fatalf("%v: state %d successor %d out of range", periods, id, e.to)
+				}
+				if k > 0 && e.to <= row[k-1].to {
+					t.Fatalf("%v: state %d successors not strictly increasing: %d after %d",
+						periods, id, e.to, row[k-1].to)
+				}
+				sum += e.p
+			}
+			if sum < 0.999999 || sum > 1.000001 {
+				t.Fatalf("%v: state %d outgoing mass %v", periods, id, sum)
+			}
+		}
+	}
+}
+
+// stateLess is the reference total order on states (phase, then per
+// tag: migrating before settled, offset, NACKs) that state numbering
+// follows.
+func stateLess(a, b State) bool {
+	if a.Phase != b.Phase {
+		return a.Phase < b.Phase
+	}
+	for i := range a.Tags {
+		at, bt := a.Tags[i], b.Tags[i]
+		if at.Settled != bt.Settled {
+			return !at.Settled
+		}
+		if at.Offset != bt.Offset {
+			return at.Offset < bt.Offset
+		}
+		if at.Nacks != bt.Nacks {
+			return at.Nacks < bt.Nacks
+		}
+	}
+	return false
+}
+
+// The packed code must round-trip every state and order states exactly
+// as stateLess does; a state's successors must be emitted in ascending
+// code order, the order fresh ids are assigned in.
+func TestPackedCodeOrderMatchesStateLess(t *testing.T) {
+	for _, periods := range [][]int{{2}, {2, 4, 4}, {4, 4, 8}} {
+		m := newModel(t, periods...)
+		for id := 0; id < m.NumStates(); id++ {
+			s := m.StateByID(id)
+			if c := m.encode(s); c != m.codes[id] {
+				t.Fatalf("%v: state %d code %d re-encodes to %d", periods, id, m.codes[id], c)
+			}
+			if abs := m.IsAbsorbing(s); abs != m.absorbing[id] {
+				t.Fatalf("%v: state %d absorbing flag %v, want %v", periods, id, m.absorbing[id], abs)
+			}
+		}
+		// Both orders are strict and total, so they agree iff the
+		// code-sorted sequence is strictly increasing under stateLess.
+		byCode := slices.Clone(m.codes)
+		slices.Sort(byCode)
+		for k := 1; k < len(byCode); k++ {
+			a, b := m.decode(byCode[k-1]), m.decode(byCode[k])
+			if !stateLess(a, b) || stateLess(b, a) {
+				t.Fatalf("%v: codes %d < %d disagree with stateLess", periods, byCode[k-1], byCode[k])
+			}
+		}
+		for id := 0; id < m.NumStates(); id++ {
+			succ := m.step(m.StateByID(id), nil)
+			for k := 1; k < len(succ); k++ {
+				if succ[k].code <= succ[k-1].code {
+					t.Fatalf("%v: state %d successors emitted out of code order", periods, id)
+				}
+			}
 		}
 	}
 }
