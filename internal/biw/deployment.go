@@ -3,7 +3,6 @@ package biw
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mount places a device (reader or tag) on a structural element.
@@ -56,21 +55,6 @@ func (d *Deployment) TagDelay(id int) (float64, error) {
 		return 0, err
 	}
 	return d.Structure.PropagationDelay(d.Reader.Element, m.Element)
-}
-
-// LossRank returns tag ids sorted from lowest to highest path loss,
-// i.e. best-connected first.
-func (d *Deployment) LossRank() []int {
-	ids := make([]int, len(d.Tags))
-	for i := range ids {
-		ids[i] = i + 1
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		la, _ := d.TagLossDB(ids[a])
-		lb, _ := d.TagLossDB(ids[b])
-		return la < lb
-	})
-	return ids
 }
 
 // NewONVOL60 builds the paper's deployment: the BiW of an ONVO L60 SUV

@@ -2,6 +2,7 @@ package biw
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -105,28 +106,37 @@ func TestFig11aCalibration(t *testing.T) {
 	}
 }
 
-func TestLossRank(t *testing.T) {
+// TestTagLossOrder pins the calibration's loss ranking: tag 8, next to
+// the reader, has the lowest path loss, the deep-cargo tag 11 the
+// highest, and no two tags tie.
+func TestTagLossOrder(t *testing.T) {
 	d := NewONVOL60()
-	rank := d.LossRank()
-	if len(rank) != 12 {
-		t.Fatalf("rank length %d", len(rank))
-	}
-	if rank[0] != 8 {
-		t.Errorf("best-connected tag = %d, want 8 (next to reader)", rank[0])
-	}
-	if rank[len(rank)-1] != 11 {
-		t.Errorf("worst-connected tag = %d, want 11 (deep cargo)", rank[len(rank)-1])
-	}
-	prev := -1.0
-	for _, id := range rank {
+	losses := make([]float64, 0, d.NumTags())
+	lo, hi := 0, 0
+	for id := 1; id <= d.NumTags(); id++ {
 		l, err := d.TagLossDB(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l < prev {
-			t.Fatalf("rank not sorted by loss")
+		losses = append(losses, l)
+		if lo == 0 || l < losses[lo-1] {
+			lo = id
 		}
-		prev = l
+		if hi == 0 || l > losses[hi-1] {
+			hi = id
+		}
+	}
+	if lo != 8 {
+		t.Errorf("best-connected tag = %d, want 8 (next to reader)", lo)
+	}
+	if hi != 11 {
+		t.Errorf("worst-connected tag = %d, want 11 (deep cargo)", hi)
+	}
+	sort.Float64s(losses)
+	for i := 1; i < len(losses); i++ {
+		if losses[i] <= losses[i-1] {
+			t.Errorf("tag losses not strictly ordered: %v == %v", losses[i-1], losses[i])
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Position is a point on the BiW in vehicle coordinates: x runs from
@@ -92,6 +93,10 @@ type Structure struct {
 
 	elements map[string]*Element
 	adj      map[string][]edge
+	// table caches the all-pairs paths; AddElement and Connect clear it.
+	// Queries may run concurrently; AddElement and Connect may not run
+	// alongside them.
+	table atomic.Pointer[pathTable]
 }
 
 type edge struct {
@@ -114,6 +119,7 @@ func NewStructure(attenuationDBPerMeter, couplingLossDB float64) *Structure {
 // the element but keeps its junctions.
 func (s *Structure) AddElement(name string, kind ElementKind, pos Position) {
 	s.elements[name] = &Element{Name: name, Kind: kind, Pos: pos}
+	s.table.Store(nil)
 }
 
 // Element returns the named element, or nil.
@@ -145,6 +151,7 @@ func (s *Structure) Connect(a, b string, junctionLossDB float64) error {
 	d := ea.Pos.Distance(eb.Pos)
 	s.adj[a] = append(s.adj[a], edge{to: b, distance: d, junction: junctionLossDB})
 	s.adj[b] = append(s.adj[b], edge{to: a, distance: d, junction: junctionLossDB})
+	s.table.Store(nil)
 	return nil
 }
 
@@ -153,43 +160,118 @@ func (s *Structure) Connect(a, b string, junctionLossDB float64) error {
 // including the fixed coupling loss. The second return is the physical
 // path length in meters (for propagation-delay computation). It returns
 // an error if no path exists.
+//
+// Results come from the structure's all-pairs path table, built on the
+// first query after the last AddElement or Connect; the lookup takes
+// no lock and allocates nothing.
 func (s *Structure) PathLossDB(a, b string) (lossDB, pathMeters float64, err error) {
-	if _, ok := s.elements[a]; !ok {
+	t := s.paths()
+	src, ok := t.index[a]
+	if !ok {
 		return 0, 0, fmt.Errorf("biw: unknown element %q", a)
 	}
-	if _, ok := s.elements[b]; !ok {
+	dst, ok := t.index[b]
+	if !ok {
 		return 0, 0, fmt.Errorf("biw: unknown element %q", b)
 	}
-	if a == b {
-		return s.CouplingLossDB, 0, nil
+	k := src*t.n + dst
+	if math.IsInf(t.loss[k], 1) {
+		return 0, 0, fmt.Errorf("biw: no acoustic path from %q to %q", a, b)
 	}
-	type state struct {
-		loss, dist float64
+	return t.loss[k] + s.CouplingLossDB, t.dist[k], nil
+}
+
+// pathTable is the dense all-pairs channel of a Structure: for every
+// ordered element pair (src, dst) the minimum junction-plus-distance
+// loss (dB, coupling loss excluded) and the length of that path.
+// Elements are numbered in Elements() order; entry src*n+dst holds the
+// pair. Unreachable pairs hold +Inf loss. A table is immutable once
+// published.
+type pathTable struct {
+	n     int
+	index map[string]int
+	// att is the AttenuationDBPerMeter the table was built with.
+	att  float64
+	loss []float64
+	dist []float64
+}
+
+// paths returns the current path table, building it if AddElement,
+// Connect or a change of AttenuationDBPerMeter invalidated it.
+// Concurrent first callers may each build a table; the builds are
+// identical, so whichever is published last is as good as any.
+func (s *Structure) paths() *pathTable {
+	if t := s.table.Load(); t != nil && t.att == s.AttenuationDBPerMeter {
+		return t
 	}
-	best := map[string]state{a: {0, 0}}
-	visited := map[string]bool{}
-	for {
-		// Extract the unvisited node with the smallest loss.
-		cur, curState, found := "", state{math.Inf(1), 0}, false
-		for n, st := range best {
-			if !visited[n] && st.loss < curState.loss {
-				cur, curState, found = n, st, true
+	t := s.buildPaths()
+	s.table.Store(t)
+	return t
+}
+
+// buildPaths runs Dijkstra from every element over integer indices.
+// Each entry is the node's (loss, dist) when it is extracted, which is
+// what a single-pair search stopping at that node returns. Relaxation
+// is strict (the first path to reach a loss keeps it) and the
+// minimum-loss scan takes the lowest index on a tie, so equal-loss
+// paths resolve the same way on every build.
+func (s *Structure) buildPaths() *pathTable {
+	names := s.Elements()
+	n := len(names)
+	t := &pathTable{
+		n:     n,
+		index: make(map[string]int, n),
+		att:   s.AttenuationDBPerMeter,
+		loss:  make([]float64, n*n),
+		dist:  make([]float64, n*n),
+	}
+	for i, name := range names {
+		t.index[name] = i
+	}
+	type iedge struct {
+		to                 int
+		distance, junction float64
+	}
+	adj := make([][]iedge, n)
+	for i, name := range names {
+		for _, e := range s.adj[name] {
+			adj[i] = append(adj[i], iedge{to: t.index[e.to], distance: e.distance, junction: e.junction})
+		}
+	}
+	best := make([]float64, n)
+	bestDist := make([]float64, n)
+	visited := make([]bool, n)
+	for src := 0; src < n; src++ {
+		row := t.loss[src*n : (src+1)*n]
+		rowDist := t.dist[src*n : (src+1)*n]
+		for i := range best {
+			best[i], bestDist[i], visited[i] = math.Inf(1), 0, false
+			row[i], rowDist[i] = math.Inf(1), 0
+		}
+		best[src] = 0
+		for {
+			// Extract the unvisited node with the smallest loss.
+			cur, curLoss := -1, math.Inf(1)
+			for i, l := range best {
+				if !visited[i] && l < curLoss {
+					cur, curLoss = i, l
+				}
+			}
+			if cur < 0 {
+				break
+			}
+			curDist := bestDist[cur]
+			visited[cur] = true
+			row[cur], rowDist[cur] = curLoss, curDist
+			for _, e := range adj[cur] {
+				nl := curLoss + e.distance*t.att + e.junction
+				if nl < best[e.to] {
+					best[e.to], bestDist[e.to] = nl, curDist+e.distance
+				}
 			}
 		}
-		if !found {
-			return 0, 0, fmt.Errorf("biw: no acoustic path from %q to %q", a, b)
-		}
-		if cur == b {
-			return curState.loss + s.CouplingLossDB, curState.dist, nil
-		}
-		visited[cur] = true
-		for _, e := range s.adj[cur] {
-			nl := curState.loss + e.distance*s.AttenuationDBPerMeter + e.junction
-			if st, ok := best[e.to]; !ok || nl < st.loss {
-				best[e.to] = state{nl, curState.dist + e.distance}
-			}
-		}
 	}
+	return t
 }
 
 // Gain returns the one-way linear amplitude gain (0..1) between two

@@ -29,6 +29,8 @@ type Injector struct {
 
 	fadeMask, fbMask, brownMask, jitterMask []bool
 
+	// fadeULFail is the plan's resolved fade decode-failure probability.
+	fadeULFail float64
 	// Per-tag fade burst state: 0 = clear, else slot the fade started.
 	fadeSince []int
 	// Outage burst state.
@@ -65,6 +67,7 @@ func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector
 	}
 	if plan.Fades != nil {
 		inj.fadeMask = tagSet(plan.Fades.Tags, numTags)
+		inj.fadeULFail = plan.Fades.ulFail()
 	}
 	if plan.Feedback != nil {
 		inj.fbMask = tagSet(plan.Feedback.Tags, numTags)
@@ -131,7 +134,7 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 
 	// Fades: per-tag Markov bursts, advanced in tag order.
 	if f := inj.plan.Fades; f != nil && f.active() {
-		ulFail := f.ulFail()
+		ulFail := inj.fadeULFail
 		for i := 0; i < inj.numTags; i++ {
 			if !inj.fadeMask[i] {
 				continue

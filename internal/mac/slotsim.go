@@ -92,21 +92,21 @@ type SlotSimConfig struct {
 	Faults FaultSource
 }
 
-func (c SlotSimConfig) beaconLoss(i int) float64 {
+func (c *SlotSimConfig) beaconLoss(i int) float64 {
 	if i < len(c.BeaconLossProb) {
 		return c.BeaconLossProb[i]
 	}
 	return 0
 }
 
-func (c SlotSimConfig) ulFail(i int) float64 {
+func (c *SlotSimConfig) ulFail(i int) float64 {
 	if i < len(c.ULDecodeFailProb) {
 		return c.ULDecodeFailProb[i]
 	}
 	return 0
 }
 
-func (c SlotSimConfig) joinSlot(i int) int {
+func (c *SlotSimConfig) joinSlot(i int) int {
 	if i < len(c.JoinSlot) {
 		return c.JoinSlot[i]
 	}

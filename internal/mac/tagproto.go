@@ -153,7 +153,9 @@ func (t *TagProtocol) OnBeacon(fb Feedback) bool {
 	}
 	t.transmitted = false
 	t.counter++
-	if t.counter%int(t.Period) != t.offset {
+	// counter >= 0 here and Period is a power of two: the mask is the
+	// residue mod Period.
+	if t.counter&(int(t.Period)-1) != t.offset {
 		return false
 	}
 	if t.newcomer && !fb.Empty && !t.DisableEmptyGate {

@@ -31,8 +31,11 @@ func (a Assignment) Conflicts(b Assignment) bool {
 }
 
 // TransmitsAt reports whether the assignment fires in absolute slot s.
+// The period is a power of two and s and the offset are non-negative,
+// so masking with Period-1 is the residue mod Period.
 func (a Assignment) TransmitsAt(s int) bool {
-	return s%int(a.Period) == a.Offset%int(a.Period)
+	m := int(a.Period) - 1
+	return s&m == a.Offset&m
 }
 
 // ErrInfeasible is returned when no collision-free allocation exists.
