@@ -358,7 +358,7 @@ func measureSlotsRun(ctx context.Context, s *mac.SlotSim, slots, convergeWithin 
 // addFaultResults folds a chaos job's recovery analysis into its fleet
 // result.
 func addFaultResults(res *FleetResult, sink *MemorySink, inj *FaultInjector) {
-	rep := AnalyzeRecovery(sink.Events())
+	rep := AnalyzeRecovery(sink.View())
 	res.Metrics[FleetMetricReconvergeSlots] = float64(rep.ReconvergeSlots)
 	res.Metrics[FleetMetricSettledChurn] = float64(rep.SettledChurn)
 	res.Counters[FleetCounterFaultsInjected] = uint64(inj.InjectedTotal())

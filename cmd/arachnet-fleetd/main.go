@@ -99,7 +99,7 @@ func main() {
 	fmt.Printf("fleetd listening on http://%s\n", ln.Addr())
 
 	srv.Start()
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	// Serve blocks until the listener closes; the select below reaps the
 	// error, and process exit reaps the goroutine.
@@ -124,6 +124,22 @@ func main() {
 		logger.Print(err)
 	}
 	logf("fleetd: stopped")
+}
+
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers, so a stalled or malicious client cannot pin a
+// connection (and its goroutine) forever; an idle keep-alive
+// connection is closed after idleTimeout. No write timeout is set: the
+// JSONL stream route stays open for a whole job.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps the daemon's handler in a server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func fatal(err error) {

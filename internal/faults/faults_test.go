@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"fmt"
+	"hash/fnv"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -286,5 +288,57 @@ func TestFadeDepthHook(t *testing.T) {
 	}
 	if d := inj.FadeDepthDB(99); d != 0 {
 		t.Errorf("out-of-range tid depth = %v", d)
+	}
+}
+
+// heavyPlan fires every per-tag fault process several times a slot
+// across a 6-tag population.
+func heavyPlan() Plan {
+	return Plan{
+		Name:          "heavy",
+		Fades:         &FadeSpec{Burst: Burst{EnterProb: 0.05, MeanSlots: 4}, DepthDB: 6, BeaconLossProb: 0.3},
+		Feedback:      &FeedbackSpec{LossProb: 0.05, CorruptProb: 0.05},
+		Brownouts:     &BrownoutSpec{Prob: 0.02, OffSlots: 6},
+		ReaderOutages: &OutageSpec{Burst: Burst{EnterProb: 0.01, MeanSlots: 3}, ResetOnRestart: true},
+		ClockJitter:   &JitterSpec{SlipProb: 0.05},
+	}
+}
+
+// BeginSlot hands out injector-owned slices and clears them on the next
+// call. The per-slot fault sequence and the census rendering are pinned
+// to values captured when every slot allocated fresh slices, so reuse
+// can neither leak one slot's faults into the next nor drop any.
+func TestBeginSlotSequencePinned(t *testing.T) {
+	inj, err := NewInjector(heavyPlan(), 7, 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for slot := 0; slot < 4000; slot++ {
+		fs := inj.BeginSlot(slot)
+		fmt.Fprintf(h, "%d %v %v|", slot, fs.ReaderDown, fs.ReaderReset)
+		for i := 0; i < 6; i++ {
+			at := func(b []bool) bool { return i < len(b) && b[i] }
+			var ul float64
+			if i < len(fs.ULFailProb) {
+				ul = fs.ULFailProb[i]
+			}
+			var delay int
+			if i < len(fs.RejoinDelay) {
+				delay = fs.RejoinDelay[i]
+			}
+			fmt.Fprintf(h, "%v%v%v%v%v%d,", at(fs.BeaconLoss), at(fs.CorruptACK), at(fs.SlipSlot), ul, at(fs.Brownout), delay)
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "5132da915c29d265"; got != want {
+		t.Errorf("fault sequence digest %s, want %s", got, want)
+	}
+	if got, want := inj.CensusString(), "fault_clear:fade_end=956 fault_clear:outage_end=33 fault_inject:ack_corrupt=1195 fault_inject:beacon_loss=2391 "+
+		"fault_inject:brownout=497 fault_inject:fade_start=956 fault_inject:jitter_slip=1173 fault_inject:outage_start=33 "+
+		"fault_inject:reader_reset=33"; got != want {
+		t.Errorf("census\n got %s\nwant %s", got, want)
+	}
+	if got, want := inj.InjectedTotal(), 6278; got != want {
+		t.Errorf("InjectedTotal %d, want %d", got, want)
 	}
 }

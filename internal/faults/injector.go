@@ -39,8 +39,22 @@ type Injector struct {
 	pendingReset bool
 
 	nextSlot int
-	counts   map[string]int
+	counts   map[censusKey]int
+
+	// Per-slot fault slices handed out by BeginSlot, injector-owned so
+	// a slot with faults allocates nothing; each BeginSlot clears them.
+	beaconLoss, corruptACK, slipSlot, brownout []bool
+	ulFailProb                                 []float64
+	rejoinDelay                                []int
 }
+
+// censusKey keys the fault census: an event kind and its detail.
+type censusKey struct {
+	kind   obs.Kind
+	detail string
+}
+
+func (k censusKey) String() string { return string(k.kind) + ":" + k.detail }
 
 // NewInjector compiles the plan for a population of numTags tags. The
 // tracer may be nil; fault events are then not recorded (the injection
@@ -63,7 +77,14 @@ func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector
 		outageRNG: root.Fork(4),
 		jitterRNG: root.Fork(5),
 		fadeSince: make([]int, numTags),
-		counts:    make(map[string]int),
+		counts:    make(map[censusKey]int),
+
+		beaconLoss:  make([]bool, numTags),
+		corruptACK:  make([]bool, numTags),
+		slipSlot:    make([]bool, numTags),
+		brownout:    make([]bool, numTags),
+		ulFailProb:  make([]float64, numTags),
+		rejoinDelay: make([]int, numTags),
 	}
 	if plan.Fades != nil {
 		inj.fadeMask = tagSet(plan.Fades.Tags, numTags)
@@ -86,7 +107,7 @@ func (inj *Injector) Plan() Plan { return inj.plan }
 
 // emit records a fault event (nil-safe via the tracer).
 func (inj *Injector) emit(ev obs.Event) {
-	inj.counts[string(ev.Kind)+":"+ev.Detail]++
+	inj.counts[censusKey{ev.Kind, ev.Detail}]++
 	if inj.tr.Enabled() {
 		inj.tr.Emit(ev)
 	}
@@ -95,12 +116,20 @@ func (inj *Injector) emit(ev obs.Event) {
 // BeginSlot advances every fault process by one slot and returns the
 // slot's fault environment. Slots must be presented in order (the
 // simulator guarantees this); a gap or repeat indicates a harness bug.
+// The returned slices are injector-owned and valid until the next
+// BeginSlot call, which clears them (see mac.FaultSource).
 func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 	if slot != inj.nextSlot {
 		//lint:allow panic-hygiene slot-ordering invariant: callers drive BeginSlot monotonically by construction
 		panic(fmt.Sprintf("faults: BeginSlot(%d) out of order, want %d", slot, inj.nextSlot))
 	}
 	inj.nextSlot++
+	clear(inj.beaconLoss)
+	clear(inj.corruptACK)
+	clear(inj.slipSlot)
+	clear(inj.brownout)
+	clear(inj.ulFailProb)
+	clear(inj.rejoinDelay)
 
 	var fs mac.SlotFaults
 
@@ -152,15 +181,11 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 			}
 			if inj.fadeSince[i] != 0 {
 				if ulFail > 0 {
-					if fs.ULFailProb == nil {
-						fs.ULFailProb = make([]float64, inj.numTags)
-					}
+					fs.ULFailProb = inj.ulFailProb
 					fs.ULFailProb[i] = ulFail
 				}
 				if f.BeaconLossProb > 0 && inj.fadeRNG.Bool(f.BeaconLossProb) {
-					if fs.BeaconLoss == nil {
-						fs.BeaconLoss = make([]bool, inj.numTags)
-					}
+					fs.BeaconLoss = inj.beaconLoss
 					fs.BeaconLoss[i] = true
 					inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
 						Detail: "beacon_loss"})
@@ -176,17 +201,13 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 				continue
 			}
 			if f.LossProb > 0 && inj.fbRNG.Bool(f.LossProb) {
-				if fs.BeaconLoss == nil {
-					fs.BeaconLoss = make([]bool, inj.numTags)
-				}
+				fs.BeaconLoss = inj.beaconLoss
 				fs.BeaconLoss[i] = true
 				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
 					Detail: "beacon_loss"})
 			}
 			if f.CorruptProb > 0 && inj.fbRNG.Bool(f.CorruptProb) {
-				if fs.CorruptACK == nil {
-					fs.CorruptACK = make([]bool, inj.numTags)
-				}
+				fs.CorruptACK = inj.corruptACK
 				fs.CorruptACK[i] = true
 				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
 					Detail: "ack_corrupt"})
@@ -206,10 +227,7 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 					// Geometric with mean OffSlots, support >= 1.
 					off = 1 + int(math.Floor(inj.brownRNG.ExpFloat64()*(b.OffSlots-1)))
 				}
-				if fs.Brownout == nil {
-					fs.Brownout = make([]bool, inj.numTags)
-					fs.RejoinDelay = make([]int, inj.numTags)
-				}
+				fs.Brownout, fs.RejoinDelay = inj.brownout, inj.rejoinDelay
 				fs.Brownout[i] = true
 				fs.RejoinDelay[i] = off
 				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
@@ -225,9 +243,7 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 				continue
 			}
 			if inj.jitterRNG.Bool(j.SlipProb) {
-				if fs.SlipSlot == nil {
-					fs.SlipSlot = make([]bool, inj.numTags)
-				}
+				fs.SlipSlot = inj.slipSlot
 				fs.SlipSlot[i] = true
 				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
 					Detail: "jitter_slip"})
@@ -261,7 +277,7 @@ func (inj *Injector) OutageActive() bool { return inj.outageActive }
 func (inj *Injector) Injected() map[string]int {
 	out := make(map[string]int, len(inj.counts))
 	for k, v := range inj.counts {
-		out[k] = v
+		out[k.String()] = v
 	}
 	return out
 }
@@ -270,7 +286,7 @@ func (inj *Injector) Injected() map[string]int {
 func (inj *Injector) InjectedTotal() int {
 	n := 0
 	for k, v := range inj.counts {
-		if len(k) > len(obs.KindFaultInject) && k[:len(obs.KindFaultInject)] == string(obs.KindFaultInject) {
+		if k.kind == obs.KindFaultInject {
 			n += v
 		}
 	}
@@ -280,8 +296,9 @@ func (inj *Injector) InjectedTotal() int {
 // CensusString renders the fault census deterministically (sorted keys)
 // for reports.
 func (inj *Injector) CensusString() string {
-	keys := make([]string, 0, len(inj.counts))
-	for k := range inj.counts {
+	census := inj.Injected()
+	keys := make([]string, 0, len(census))
+	for k := range census {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -290,7 +307,7 @@ func (inj *Injector) CensusString() string {
 		if s != "" {
 			s += " "
 		}
-		s += fmt.Sprintf("%s=%d", k, inj.counts[k])
+		s += fmt.Sprintf("%s=%d", k, census[k])
 	}
 	return s
 }

@@ -12,11 +12,13 @@ import (
 	"repro/internal/fleetd/api"
 )
 
-// resumeSpec is slow enough (single worker, ~12 shards of 100k slots)
+// resumeSpec is slow enough (single worker, ~12 shards of 50k slots)
 // that a drain reliably lands mid-sweep, and deterministic so the
-// resumed fingerprint has a pinned reference.
+// resumed fingerprint has a pinned reference. Its rare clock slips
+// keep every slot stepped: a fault-free vehicle fast-forwards its
+// settled hyperperiods and would finish before the drain.
 const resumeSpec = `{"seed": 77, "workers": 1, "vehicles": [
-	{"name": "long", "engine": "slots", "pattern": "c2", "slots": 100000, "replicate": 12}
+	{"name": "long", "engine": "slots", "pattern": "c2", "slots": 50000, "replicate": 12, "faults": {"clock_jitter": {"slip_prob": 0.001}}}
 ]}`
 
 // TestResumeAfterDrain is the kill/restart determinism leg: drain a

@@ -44,6 +44,19 @@ func (c *ConvergenceDetector) Reset() {
 	c.at = 0
 }
 
+// fastForward advances the detector by d slots of a proven cycle;
+// clean reports that the cycle held no collision. A cycle with a
+// collision ends every repetition on the same clean run, so cleanRun
+// only grows when the cycle is clean.
+//
+//alloc:hot whole-cycle skip of SlotSim.Run
+func (c *ConvergenceDetector) fastForward(d int, clean bool) {
+	c.slots += d
+	if clean {
+		c.cleanRun += d
+	}
+}
+
 // Converged reports whether the criterion was met.
 func (c *ConvergenceDetector) Converged() bool { return c.converged }
 
@@ -108,6 +121,33 @@ func (w *WindowStats) Reset() {
 	w.totalSlots = 0
 	w.totalNonEmpty = 0
 	w.totalCollision = 0
+}
+
+// fastForward advances the stats by d slots, a whole number of cycles
+// of an observation sequence proven periodic with the given cycle
+// length, whose latest cycle is the newest entries of the ring. Slots
+// that stay in the window keep their entries; every entry the skipped
+// slots overwrite takes the value of the same cycle position in the
+// latest cycle, read into the caller's scratch (at least
+// min(cycle, Window) long) first. The ring, cursor and totals end up
+// exactly as d Observe calls would leave them.
+//
+//alloc:hot whole-cycle skip of SlotSim.Run; scratch is caller-provided
+func (w *WindowStats) fastForward(d, cycle, dNonEmpty, dCollision int, nonEmpty, collide []bool) {
+	n := w.Window
+	for j := 0; j < min(cycle, n); j++ {
+		p := (w.pos - 1 - j + n) % n
+		nonEmpty[j], collide[j] = w.nonEmpty[p], w.collide[p]
+	}
+	w.pos = (w.pos + d) % n
+	w.filled = min(w.filled+d, n)
+	for j := 0; j < min(d, w.filled); j++ {
+		p := (w.pos - 1 - j + n) % n
+		w.nonEmpty[p], w.collide[p] = nonEmpty[j%cycle], collide[j%cycle]
+	}
+	w.totalSlots += d
+	w.totalNonEmpty += dNonEmpty
+	w.totalCollision += dCollision
 }
 
 // NonEmptyRatio returns the windowed non-empty ratio.

@@ -53,6 +53,11 @@ type SlotFaults struct {
 // called exactly once per simulated slot with monotonically increasing
 // slot indices, which lets implementations advance burst processes
 // deterministically.
+//
+// The slices of the returned SlotFaults may alias buffers the source
+// owns and reuses: they are valid until the next BeginSlot call, which
+// may clear or overwrite them. Callers that need a slot's faults beyond
+// that must copy them.
 type FaultSource interface {
 	BeginSlot(slot int) SlotFaults
 }

@@ -133,6 +133,19 @@ func (t *Tracer) Enabled() bool {
 	return t != nil && (len(t.sinks) > 0 || t.m != nil)
 }
 
+// Wants reports whether an event of kind k would reach a sink or the
+// metrics registry: the tracer is enabled and k is not muted. Per-slot
+// call sites use it to skip building (and copying slices into) events
+// that Emit would drop.
+func (t *Tracer) Wants(k Kind) bool {
+	if !t.Enabled() {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return !t.muted[k]
+}
+
 // AttachMetrics makes the tracer count every emitted event in m under
 // "events_<kind>", so a metrics snapshot doubles as an event census.
 func (t *Tracer) AttachMetrics(m *Metrics) {

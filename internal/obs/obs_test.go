@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -53,7 +54,12 @@ func TestMemorySinkOrderAndDrain(t *testing.T) {
 			t.Fatalf("event %d has slot %d", i, ev.Slot)
 		}
 	}
-	if got := mem.Drain(); len(got) != 5 {
+	view := mem.View()
+	tr.Emit(Event{Kind: KindSlotClose, Slot: 5})
+	if len(view) != 5 || !reflect.DeepEqual(view, evs) {
+		t.Fatalf("view %+v, want the 5 events buffered when it was taken", view)
+	}
+	if got := mem.Drain(); len(got) != 6 {
 		t.Fatalf("drain returned %d", len(got))
 	}
 	if mem.Len() != 0 {
@@ -65,6 +71,9 @@ func TestMute(t *testing.T) {
 	mem := NewMemorySink()
 	tr := New(mem)
 	tr.Mute(KindSimEvent)
+	if tr.Wants(KindSimEvent) || !tr.Wants(KindSlotOpen) || (*Tracer)(nil).Wants(KindSlotOpen) {
+		t.Fatal("Wants disagrees with the mute set")
+	}
 	tr.Emit(Event{Kind: KindSimEvent})
 	tr.Emit(Event{Kind: KindSlotOpen})
 	evs := mem.Events()

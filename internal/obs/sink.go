@@ -100,6 +100,16 @@ func (s *MemorySink) Events() []Event {
 	return append([]Event(nil), s.events...)
 }
 
+// View returns the buffered events without the copy Events makes. The
+// slice aliases the sink's buffer: treat it as read-only, and stop
+// using it before the next Reset or Drain, after which later events
+// may overwrite it. Events emitted after the call do not appear in it.
+func (s *MemorySink) View() []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.events[:len(s.events):len(s.events)]
+}
+
 // Reset clears the buffer but keeps its capacity, so pooled per-trial
 // sinks are reused without reallocating the event backing array.
 func (s *MemorySink) Reset() {

@@ -51,11 +51,14 @@ go build -o "$workdir/arachnet-fleetd" ./cmd/arachnet-fleetd
 go build -o "$workdir/arachnet-fleet" ./cmd/arachnet-fleet
 
 # Single worker and ~24 shards keep the sweep running for a few seconds
-# so the SIGTERM below reliably lands mid-run.
+# so the SIGTERM below reliably lands mid-run. The rare clock slips keep
+# every slot stepped: a fault-free vehicle fast-forwards its settled
+# hyperperiods and would finish before the signal.
 spec="$workdir/spec.json"
 cat > "$spec" <<'EOF'
 {"seed": 20260808, "workers": 1, "vehicles": [
-  {"name": "smoke", "engine": "slots", "pattern": "c2", "slots": 150000, "replicate": 24}
+  {"name": "smoke", "engine": "slots", "pattern": "c2", "slots": 150000, "replicate": 24,
+   "faults": {"clock_jitter": {"slip_prob": 0.001}}}
 ]}
 EOF
 
