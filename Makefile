@@ -8,9 +8,10 @@ all: vet test
 
 # Full verification gate: go vet + gofmt, the domain analyzers
 # (arachnet-lint), the static zero-alloc gate, the race detector over
-# every package (the fleet pool and the dsp pipeline are the concurrent
-# code paths this guards), and the daemon kill/restart determinism
-# smoke. The zero-alloc gate rides inside `lint`.
+# every package (the fleet pool, the fleetd daemon, the parallel Monte
+# Carlo trials and the row-parallel Markov solve are the concurrent code
+# paths this guards), and the daemon kill/restart determinism smoke.
+# The zero-alloc gate rides inside `lint`.
 check: vet lint race smoke-fleetd
 
 # Fleet-as-a-service smoke: SIGTERM arachnet-fleetd mid-sweep, restart

@@ -13,6 +13,14 @@ import (
 // and declares a collision when it sees more than two, even if the
 // capture effect would let it decode one packet.
 
+// IQ is one complex baseband sample.
+type IQ struct {
+	I, Q float64
+}
+
+// Magnitude returns |IQ|.
+func (s IQ) Magnitude() float64 { return math.Hypot(s.I, s.Q) }
+
 // CountClusters estimates the number of distinct amplitude clusters in
 // the IQ block. Samples are clustered greedily on their magnitude with
 // the given merge radius (same units as the samples); clusters holding

@@ -22,6 +22,12 @@ func makeIQBlock(levels []float64, perLevel int, noise float64, rng *sim.Rand) [
 	return out
 }
 
+func TestIQMagnitude(t *testing.T) {
+	if m := (IQ{I: 3, Q: 4}).Magnitude(); m != 5 {
+		t.Errorf("magnitude = %v, want 5", m)
+	}
+}
+
 func TestCountClustersSingleTag(t *testing.T) {
 	rng := sim.NewRand(5)
 	// One tag OOKing produces two levels: leakage and leakage+bs.

@@ -126,7 +126,7 @@ func TestDecodeULFrameCleanBaseband(t *testing.T) {
 	frame, _ := pkt.Marshal()
 	chips := phy.FM0Encode(frame, 0)
 	p := ULSynthParams{
-		CarrierHz: 90000, Fs: 500000, ChipRate: 750,
+		Fs: 500000, ChipRate: 750,
 		Leakage: 0.2, Backscatter: 0.05, NoiseRMS: 0,
 	}
 	soft := SynthesizeULBaseband(chips, 16, p, nil)
@@ -148,7 +148,7 @@ func TestDecodeULFrameNoisyBaseband(t *testing.T) {
 	frame, _ := pkt.Marshal()
 	chips := phy.FM0Encode(frame, 0)
 	p := ULSynthParams{
-		CarrierHz: 90000, Fs: 500000, ChipRate: 375,
+		Fs: 500000, ChipRate: 375,
 		Leakage: 0.2, Backscatter: 0.05, NoiseRMS: 0.03,
 	}
 	ok := 0
@@ -168,38 +168,49 @@ func TestDecodeULFrameNoisyBaseband(t *testing.T) {
 	}
 }
 
-func TestDecodeULFramePassbandChain(t *testing.T) {
-	// End-to-end: passband synthesis at 500 kHz -> down-conversion ->
-	// magnitude -> chip sampling -> decode. This is the full reader
-	// chain from Sec. 6.1.
+// TestDecodeULFromBasebandTimingRecovery feeds the decoder noisy
+// captures whose frame starts a fraction of a chip into the stream, so
+// only the chip-phase sweep can line the integrate-and-dump windows up
+// with the chips. The skewed rate mirrors a tag whose clock runs fast,
+// which leaves the reader with a non-integer samples-per-chip.
+func TestDecodeULFromBasebandTimingRecovery(t *testing.T) {
 	pkt := phy.ULPacket{TID: 12, Payload: 0x3C3}
 	frame, _ := pkt.Marshal()
-	// Carrier-only guard chips bracket the frame, as on the real link
-	// where the tag idles in the absorptive state around a packet.
-	chips := append(make(phy.Bits, 8), phy.FM0Encode(frame, 0)...)
+	// Idle (absorptive) chips bracket the frame, as on the real link.
+	chips := append(make(phy.Bits, 6), phy.FM0Encode(frame, 0)...)
 	chips = append(chips, make(phy.Bits, 4)...)
-	const fs = 500000.0
-	const chipRate = 3000.0 // keep the test fast
+	const fine = 64 // render resolution, samples per chip
 	p := ULSynthParams{
-		CarrierHz: 90000, Fs: fs, ChipRate: chipRate,
-		Leakage: 0.2, Backscatter: 0.06, NoiseRMS: 0.01,
+		Fs: 375 * fine, ChipRate: 375,
+		Leakage: 0.2, Backscatter: 0.05, NoiseRMS: 0.02,
 	}
-	wave := SynthesizeUL(chips, p, sim.NewRand(3))
-
-	dc, err := NewDownConverter(90000, fs, 8000, 101)
-	if err != nil {
-		t.Fatal(err)
+	for _, spc := range []float64{8, 8 * 375 / 376.2} {
+		for _, lead := range []float64{0.25, 0.5, 0.625} {
+			rng := sim.NewRand(uint64(100*spc + 8*lead))
+			hi := SynthesizeULBaseband(chips, fine, p, rng)
+			// Resample at spc samples per chip, starting lead of a chip
+			// into the capture: the idle run before the frame is then
+			// 6-lead chips long.
+			var capture []float64
+			for i := 0; ; i++ {
+				j := int((lead + float64(i)/spc) * fine)
+				if j >= len(hi) {
+					break
+				}
+				capture = append(capture, hi[j])
+			}
+			got, err := DecodeULFromBaseband(capture, spc)
+			if err != nil {
+				t.Errorf("spc %.4f lead %v: %v", spc, lead, err)
+				continue
+			}
+			if got != pkt {
+				t.Errorf("spc %.4f lead %v: decoded %+v, want %+v", spc, lead, got, pkt)
+			}
+		}
 	}
-	iq := dc.Process(wave)
-	mags := Magnitudes(iq)
-	// Drop the filter transient; DecodeULFromBaseband recovers the
-	// remaining unknown chip phase itself.
-	got, err := DecodeULFromBaseband(mags[101:], fs/chipRate)
-	if err != nil {
-		t.Fatalf("passband decode failed: %v", err)
-	}
-	if got != pkt {
-		t.Errorf("decoded %+v, want %+v", got, pkt)
+	if _, err := DecodeULFromBaseband(make([]float64, 64), 1.5); err == nil {
+		t.Error("1.5 samples per chip accepted")
 	}
 }
 
@@ -253,43 +264,5 @@ func TestSynthesizeDLEnvelopeNoRingWithShortTau(t *testing.T) {
 	mid := env[spc+spc/2]
 	if mid > 0.1 {
 		t.Errorf("envelope at low-chip midpoint = %v, ring should be gone", mid)
-	}
-}
-
-func TestIQMagnitudePhase(t *testing.T) {
-	s := IQ{I: 3, Q: 4}
-	if s.Magnitude() != 5 {
-		t.Errorf("magnitude = %v", s.Magnitude())
-	}
-	if math.Abs(IQ{I: 0, Q: 1}.Phase()-math.Pi/2) > 1e-12 {
-		t.Error("phase wrong")
-	}
-}
-
-func TestEnvelopeDetector(t *testing.T) {
-	const fs = 500000.0
-	ed, err := NewEnvelopeDetector(100e-6, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed a 90 kHz burst; the envelope should rise to near the
-	// amplitude and hold between carrier peaks.
-	var out float64
-	for i := 0; i < 2000; i++ {
-		x := 0.8 * math.Sin(2*math.Pi*90000*float64(i)/fs)
-		out = ed.ProcessSample(x)
-	}
-	if out < 0.6 {
-		t.Errorf("envelope = %v, want near 0.8", out)
-	}
-	// After the burst stops it decays.
-	for i := 0; i < 200000; i++ {
-		out = ed.ProcessSample(0)
-	}
-	if out > 0.01 {
-		t.Errorf("envelope did not decay: %v", out)
-	}
-	if _, err := NewEnvelopeDetector(0, fs); err == nil {
-		t.Error("zero tau accepted")
 	}
 }

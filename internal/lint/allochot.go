@@ -15,8 +15,8 @@ const allocHotPrefix = "//alloc:hot"
 //	//alloc:hot <why this function must stay allocation-free>
 //
 // The annotation goes in the doc comment of a production function whose
-// steady state must not allocate (the PR 5/7 zero-alloc kernels: DSP
-// block kernels, pooled slot-sim acquire/release, inline fleet jobs).
+// steady state must not allocate (pooled slot-sim acquire/release,
+// inline fleet jobs, snapshot clones).
 // The gate parses `go build -gcflags=-m` escape diagnostics and fails
 // when a new heap escape appears inside an annotated function's line
 // range, so the compiler — not a benchmark that happens to run — holds

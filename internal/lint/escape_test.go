@@ -7,7 +7,7 @@ import (
 
 var escapeManifest = []AllocHotFunc{
 	{Pkg: "repro/internal/dsp", File: "internal/dsp/filter.go", Func: "FIR.ProcessBlock", StartLine: 120, EndLine: 148},
-	{Pkg: "repro/internal/dsp", File: "internal/dsp/osc.go", Func: "QuadOsc.Block", StartLine: 60, EndLine: 90},
+	{Pkg: "repro/internal/dsp", File: "internal/dsp/ring.go", Func: "Ring.Push", StartLine: 60, EndLine: 90},
 }
 
 // TestParseEscapeDiagnostics maps canned -gcflags=-m output into gate
@@ -20,15 +20,15 @@ internal/dsp/filter.go:125:13: make([]float64, n) escapes to heap:
 internal/dsp/filter.go:125:13:   flow: dst = &{storage for make([]float64, n)}:
 internal/dsp/filter.go:200:6: make([]float64, n) escapes to heap
 internal/dsp/filter.go:130:9: inlining call to dot
-internal/dsp/osc.go:65:2: moved to heap: anchor
-internal/dsp/osc.go:61:7: leaking param: o
+internal/dsp/ring.go:65:2: moved to heap: anchor
+internal/dsp/ring.go:61:7: leaking param: o
 internal/dsp/other.go:10:2: x escapes to heap
 not a diagnostic line
 `
 	got := ParseEscapeDiagnostics(output, escapeManifest)
 	want := []string{
 		"internal/dsp/filter.go:FIR.ProcessBlock: make([]float64, n) escapes to heap",
-		"internal/dsp/osc.go:QuadOsc.Block: moved to heap: anchor",
+		"internal/dsp/ring.go:Ring.Push: moved to heap: anchor",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("entries = %q, want %q", got, want)

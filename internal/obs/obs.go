@@ -50,8 +50,8 @@ const (
 	KindBrownout Kind = "brownout"
 	// KindSimEvent traces one discrete-event firing in the sim engine.
 	KindSimEvent Kind = "sim_event"
-	// KindDecode records a DSP reader-chain decode outcome; Detail is
-	// "ok" or "crc_fail", Value the IQ cluster count.
+	// KindDecode records a waveform-in-the-loop uplink decode outcome;
+	// Detail is "ok" or "crc_fail", Value the IQ cluster count.
 	KindDecode Kind = "decode"
 	// KindJobStart / KindJobFinish are the fleet pool's job lifecycle.
 	KindJobStart  Kind = "job_start"
